@@ -7,8 +7,8 @@
 //! that share a workload. This module makes those evaluations *content
 //! addressed*: a [`PointKey`] is a 128-bit FNV-1a hash over the canonical
 //! rendering of everything that determines a [`SweepResult`] bit pattern,
-//! and a [`SweepCache`] maps keys to results in a sharded concurrent map
-//! with optional JSON-lines persistence.
+//! and a [`SweepCache`] maps keys to results in a bounded
+//! [`efficsense_obs::Store`] with optional JSON-lines persistence.
 //!
 //! ## Key canonicalization
 //!
@@ -37,15 +37,17 @@ use crate::detector::SeizureDetector;
 use crate::space::DesignPoint;
 use crate::sweep::SweepResult;
 use efficsense_faults::FaultPlan;
+use efficsense_obs::json::Json;
+use efficsense_obs::{Store, StoreStats};
 use efficsense_power::{PowerBreakdown, Watts};
 use efficsense_signals::EegDataset;
-use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Number of independently locked map shards (bounds worker contention).
-const SHARDS: usize = 16;
+/// Entry bound of a [`SweepCache`]: far above any shipped sweep (the full
+/// product space is a few thousand points), so only a long-running
+/// accumulation ever evicts, oldest entries first.
+pub const L1_CAPACITY: usize = 1 << 16;
 
 /// Bump on any change to the key derivation or the persisted line format;
 /// every persisted cache entry from older versions then misses harmlessly.
@@ -212,38 +214,15 @@ pub fn dataset_fingerprint(dataset: &EegDataset) -> u64 {
 // SweepCache
 // ---------------------------------------------------------------------------
 
-/// Hit/miss/occupancy counters of a [`SweepCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to evaluation.
-    pub misses: u64,
-    /// Entries currently held.
-    pub entries: usize,
-}
+/// Hit/miss/eviction/occupancy counters of a [`SweepCache`].
+pub type CacheStats = StoreStats;
 
-impl CacheStats {
-    /// Fraction of lookups served from the cache (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Sharded concurrent `PointKey → SweepResult` map with hit accounting and
-/// JSON-lines persistence. Share one instance across sweeps via
-/// [`crate::sweep::Sweep::with_cache`].
+/// Bounded concurrent `PointKey → SweepResult` store with hit accounting
+/// and JSON-lines persistence. Holds at most [`L1_CAPACITY`] entries. Share
+/// one instance across sweeps via [`crate::sweep::Sweep::with_cache`].
 #[derive(Debug)]
 pub struct SweepCache {
-    shards: Vec<Mutex<HashMap<u128, SweepResult>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    store: Store<PointKey, SweepResult>,
 }
 
 impl Default for SweepCache {
@@ -257,74 +236,44 @@ impl SweepCache {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            store: Store::bounded("cache.l1", L1_CAPACITY, |_| 1),
         }
-    }
-
-    fn shard(&self, key: &PointKey) -> &Mutex<HashMap<u128, SweepResult>> {
-        // The key is already a high-quality hash; its low bits pick a shard.
-        &self.shards[(key.0 as usize) % SHARDS]
-    }
-
-    fn lock(
-        m: &Mutex<HashMap<u128, SweepResult>>,
-    ) -> std::sync::MutexGuard<'_, HashMap<u128, SweepResult>> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Looks up a cached result, counting the hit or miss.
     #[must_use]
     pub fn get(&self, key: &PointKey) -> Option<SweepResult> {
-        let found = Self::lock(self.shard(key)).get(&key.0).cloned();
-        match found {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                efficsense_obs::counter!("cache.l1.hit").incr();
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                efficsense_obs::counter!("cache.l1.miss").incr();
-                None
-            }
-        }
+        self.store.get(key).map(|r| (*r).clone())
     }
 
-    /// Inserts (or overwrites) a result. Evaluation is deterministic per
-    /// key, so concurrent inserts under one key write identical values.
+    /// Inserts a result; a result already cached under `key` is kept.
+    /// Evaluation is deterministic per key, so both are the same.
     pub fn insert(&self, key: PointKey, result: SweepResult) {
         efficsense_obs::counter!("cache.l1.insert").incr();
-        Self::lock(self.shard(&key)).insert(key.0, result);
+        self.store.insert(key, result);
     }
 
     /// Number of cached results.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock(s).len()).sum()
+        self.store.len()
     }
 
     /// `true` when no results are cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+        self.store.stats()
     }
 
-    /// Zeroes the hit/miss counters (entries stay cached).
+    /// Zeroes the hit/miss/eviction counters (entries stay cached).
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.store.reset_stats();
     }
 
     /// Serialises every entry as JSON lines (sorted by key, so the file is
@@ -337,14 +286,12 @@ impl SweepCache {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        let mut lines: Vec<(u128, String)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (k, r) in Self::lock(shard).iter() {
-                if let Some(line) = entry_to_json(PointKey(*k), r) {
-                    lines.push((*k, line));
-                }
-            }
-        }
+        let mut lines: Vec<(PointKey, String)> = self
+            .store
+            .entries()
+            .into_iter()
+            .filter_map(|(k, r)| Some((k, entry_to_json(k, &r)?)))
+            .collect();
         lines.sort_unstable_by_key(|(k, _)| *k);
         for (_, line) in &lines {
             writeln!(w, "{line}")?;
@@ -449,52 +396,43 @@ fn entry_to_json(key: PointKey, r: &SweepResult) -> Option<String> {
     ))
 }
 
+/// `null` as `Some(None)`; any other value through `parse`, `None` when
+/// `parse` rejects it.
+fn nullable<T>(v: &Json, parse: impl FnOnce(&Json) -> Option<T>) -> Option<Option<T>> {
+    match v {
+        Json::Null => Some(None),
+        v => parse(v).map(Some),
+    }
+}
+
 fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
     let v = Json::parse(line)?;
-    let obj = v.as_obj()?;
-    let get = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let get = |name: &str| v.get(name);
     let key = PointKey::from_hex(get("key")?.as_str()?)?;
     let architecture = match get("architecture")?.as_str()? {
         "baseline" => Architecture::Baseline,
         "cs" => Architecture::CompressiveSensing,
         _ => return None,
     };
-    let finite = |v: f64| if v.is_finite() { Some(v) } else { None };
-    let as_usize = |v: &Json| -> Option<usize> {
-        let f = v.as_f64()?;
-        if f.fract().abs() < f64::EPSILON && (0.0..9.0e15).contains(&f) {
-            Some(f as usize)
-        } else {
-            None
-        }
-    };
+    // The parser rejects non-finite number tokens, so every float is finite.
+    let as_usize = |v: &Json| usize::try_from(v.as_u64()?).ok();
     let point = DesignPoint {
         architecture,
-        lna_noise_vrms: finite(get("lna_noise_vrms")?.as_f64()?)?,
-        n_bits: as_usize(get("n_bits")?)? as u32,
-        m: match get("m")? {
-            Json::Null => None,
-            v => Some(as_usize(v)?),
-        },
-        s: match get("s")? {
-            Json::Null => None,
-            v => Some(as_usize(v)?),
-        },
-        c_hold_f: match get("c_hold_f")? {
-            Json::Null => None,
-            v => Some(finite(v.as_f64()?)?),
-        },
+        lna_noise_vrms: get("lna_noise_vrms")?.as_f64()?,
+        n_bits: u32::try_from(get("n_bits")?.as_u64()?).ok()?,
+        m: nullable(get("m")?, as_usize)?,
+        s: nullable(get("s")?, as_usize)?,
+        c_hold_f: nullable(get("c_hold_f")?, Json::as_f64)?,
     };
     // Breakdown entries re-add in persisted (insertion) order, preserving
     // the `PowerBreakdown` equality contract, which is order-sensitive.
     let mut breakdown = PowerBreakdown::new();
     for pair in get("breakdown")?.as_arr()? {
-        let pair = pair.as_arr()?;
-        if pair.len() != 2 {
+        let [kind, w] = pair.as_arr()? else {
             return None;
-        }
-        let kind = crate::report::block_from_slug(pair[0].as_str()?)?;
-        let w = finite(pair[1].as_f64()?)?;
+        };
+        let kind = crate::report::block_from_slug(kind.as_str()?)?;
+        let w = w.as_f64()?;
         if w < 0.0 {
             return None;
         }
@@ -504,218 +442,17 @@ fn entry_from_json(line: &str) -> Option<(PointKey, SweepResult)> {
         key,
         SweepResult {
             point,
-            metric: finite(get("metric")?.as_f64()?)?,
-            power_w: finite(get("power_w")?.as_f64()?)?,
+            metric: get("metric")?.as_f64()?,
+            power_w: get("power_w")?.as_f64()?,
             breakdown,
-            area_units: finite(get("area_units")?.as_f64()?)?,
+            area_units: get("area_units")?.as_f64()?,
         },
     ))
-}
-
-/// Minimal JSON value model — just enough for the cache line format.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Option<Json> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i == p.b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b'n' => {
-                if self.b[self.i..].starts_with(b"null") {
-                    self.i += 4;
-                    Some(Json::Null)
-                } else {
-                    None
-                }
-            }
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.i += 1;
-            return Some(Json::Obj(out));
-        }
-        loop {
-            let k = {
-                self.skip_ws();
-                self.string()?
-            };
-            self.eat(b':')?;
-            let v = self.value()?;
-            out.push((k, v));
-            match self.peek()? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Some(Json::Obj(out));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.i += 1;
-            return Some(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.i += 1,
-                b']' => {
-                    self.i += 1;
-                    return Some(Json::Arr(out));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.b.get(self.i) != Some(&b'"') {
-            return None;
-        }
-        self.i += 1;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.b.get(self.i)?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        _ => return None, // \u and friends: not in our format
-                    }
-                }
-                _ => out.push(c as char),
-            }
-        }
-        None
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Json::Num)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Trained-detector memoization
 // ---------------------------------------------------------------------------
-
-type DetectorKey = (u64, u64, u64, u64);
-
-fn detector_store() -> &'static Mutex<HashMap<DetectorKey, Arc<SeizureDetector>>> {
-    static STORE: OnceLock<Mutex<HashMap<DetectorKey, Arc<SeizureDetector>>>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(HashMap::new()))
-}
 
 /// Memoized detector training: one shared [`SeizureDetector`] per
 /// `(dataset fingerprint, sample rate, epoch length, seed)`. Training is
@@ -738,32 +475,31 @@ pub fn trained_detector(
     epoch_s: f64,
     seed: u64,
 ) -> Arc<SeizureDetector> {
-    let key = (
-        dataset_fingerprint(dataset),
-        fs.to_bits(),
-        epoch_s.to_bits(),
-        seed,
-    );
-    let mut map = detector_store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(d) = map.get(&key) {
-        efficsense_obs::counter!("memo.detector.hit").incr();
-        return Arc::clone(d);
-    }
-    efficsense_obs::counter!("memo.detector.miss").incr();
-    // Train under the lock: callers racing on the same key would otherwise
-    // duplicate minutes of training work; distinct-key contention is rare
-    // (one training per sweep).
-    let _train_span = efficsense_obs::span!("detect.train");
-    let detector = if epoch_s > 0.0 {
-        SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
-    } else {
-        SeizureDetector::train(dataset, fs, seed)
-    };
-    let detector = Arc::new(detector);
-    map.insert(key, Arc::clone(&detector));
-    detector
+    trained_detector_keyed(dataset, dataset_fingerprint(dataset), fs, epoch_s, seed)
+}
+
+/// [`trained_detector`] for a caller that already holds the dataset's
+/// [`dataset_fingerprint`], so the samples are not hashed again.
+pub(crate) fn trained_detector_keyed(
+    dataset: &EegDataset,
+    dataset_fp: u64,
+    fs: f64,
+    epoch_s: f64,
+    seed: u64,
+) -> Arc<SeizureDetector> {
+    type DetectorKey = (u64, u64, u64, u64);
+    static STORE: OnceLock<Store<DetectorKey, SeizureDetector>> = OnceLock::new();
+    let store = STORE.get_or_init(|| Store::new("memo.detector"));
+    // Single flight: callers racing on one key wait for one training run
+    // (minutes at full scale) instead of duplicating it.
+    store.get_or_insert_with(&(dataset_fp, fs.to_bits(), epoch_s.to_bits(), seed), || {
+        let _train_span = efficsense_obs::span!("detect.train");
+        if epoch_s > 0.0 {
+            SeizureDetector::train_epoched(dataset, fs, epoch_s, seed)
+        } else {
+            SeizureDetector::train(dataset, fs, seed)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1111,6 +847,30 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!((loaded, skipped), (1, 0));
         assert_eq!(fresh.get(&key), Some(sample_result()));
+    }
+
+    #[test]
+    fn bounded_cache_evicts_oldest_and_persists_only_resident_entries() {
+        let cache = SweepCache::new();
+        // Spread keys like real point keys (the high bits vary too).
+        let key = |i: u128| PointKey(i.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835));
+        let total = L1_CAPACITY + L1_CAPACITY / 2;
+        for i in 0..total as u128 {
+            cache.insert(key(i), sample_result());
+        }
+        let s = cache.stats();
+        assert!(cache.len() <= L1_CAPACITY, "held {}", cache.len());
+        assert_eq!(s.evictions as usize + s.entries, total);
+        // The oldest entry is gone; the newest is resident.
+        assert!(cache.get(&key(0)).is_none());
+        assert!(cache.get(&key(total as u128 - 1)).is_some());
+        let mut buf = Vec::new();
+        cache.write_jsonl(&mut buf).expect("write to vec");
+        let text = String::from_utf8(buf).expect("utf8");
+        let keys: Vec<&str> = text.lines().map(|l| &l[8..40]).collect();
+        assert_eq!(keys.len(), cache.len(), "only resident entries persist");
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted by key");
+        assert!(!keys.contains(&key(0).hex().as_str()));
     }
 
     #[test]

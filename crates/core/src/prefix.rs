@@ -32,22 +32,18 @@
 //! over length-prefixed fields (the [`crate::cache`] scheme) with float
 //! axes compared by IEEE-754 bit pattern.
 //!
-//! Unlike the unbounded L2 stores, every class here is **capped**: values
-//! are whole per-record signal buffers, so a long-running sweep server
-//! holding a store open must not grow without bound. Each class carries an
-//! element budget (one element ≈ one `f64`); inserts beyond the budget
-//! evict the oldest entries first. Eviction only ever costs future hits —
-//! rebuilt artifacts are bit-identical by construction.
+//! Each class is one [`efficsense_obs::Store`], the store type behind every
+//! cache level. Unlike the unbounded L2 stores, every class here is
+//! **capped**: values are whole per-record signal buffers, so a
+//! long-running sweep server holding a store open must not grow without
+//! bound. Each class carries an element budget (one element ≈ one `f64`);
+//! inserts beyond the budget evict the oldest entries first. Eviction only
+//! ever costs future hits — rebuilt artifacts are bit-identical by
+//! construction. Workers that miss on the same key wait for one build.
 
 use crate::cache::KeyHasher;
 use efficsense_faults::{LinkStats, LnaRailFault};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Independently locked shards per artifact class (bounds worker
-/// contention; the key's low bits pick the shard).
-const SHARDS: usize = 16;
+use efficsense_obs::{Store, StoreStats};
 
 /// Bump on any change to prefix-key derivation; disjoint from the L1
 /// `efficsense-pointkey-*` tags so the two key families can never alias.
@@ -61,14 +57,6 @@ const KEY_VERSION: &str = "efficsense-prefixkey-v1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixKey(u128);
 
-impl PrefixKey {
-    /// Lower-case 32-digit hex form (diagnostics only; nothing persists).
-    #[must_use]
-    pub fn hex(&self) -> String {
-        format!("{:032x}", self.0)
-    }
-}
-
 /// 64-bit content fingerprint of one input record: its length and the
 /// exact bit pattern of every sample. Computed per [`Simulator::run`]
 /// call when a store is attached — the caller need not carry record
@@ -78,6 +66,8 @@ impl PrefixKey {
 /// [`Simulator::run`]: crate::simulate::Simulator::run
 #[must_use]
 pub fn record_fingerprint(samples: &[f64]) -> u64 {
+    // Every artifact class derives from this record.
+    efficsense_dsp::approx::debug_assert_all_finite(samples, "prefix: input record");
     // FNV-1a over 64-bit words (not bytes): one multiply per sample keeps
     // the per-run fingerprint cost far below the work the store amortizes.
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -232,203 +222,10 @@ pub struct AcquiredPrefix {
     pub link: Option<LinkStats>,
 }
 
-/// Approximate size of a value in budget elements (one element ≈ one
-/// `f64`); drives eviction.
-trait Cost {
-    fn cost(&self) -> usize;
-}
-
-impl Cost for Vec<f64> {
-    fn cost(&self) -> usize {
-        self.len()
-    }
-}
-
-impl Cost for AcquiredPrefix {
-    fn cost(&self) -> usize {
-        // words/rms/link are a rounding error next to the sample buffer.
-        self.input_referred.len() + 8
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded sharded store
-// ---------------------------------------------------------------------------
-
-/// Hit/miss/eviction/occupancy counters of one artifact class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassStats {
-    /// Lookups served from the store.
-    pub hits: u64,
-    /// Lookups that fell through to a fresh build.
-    pub misses: u64,
-    /// Entries dropped by the capacity cap.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Budget elements currently held (≈ `f64`s).
-    pub elements: usize,
-}
-
-impl ClassStats {
-    /// Fraction of lookups served from the store (0 when idle).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct ShardMap<V> {
-    /// `key → (insertion stamp, value)`; the stamp orders FIFO eviction.
-    map: HashMap<u128, (u64, Arc<V>)>,
-    elements: usize,
-}
-
-/// One bounded artifact class: a sharded `PrefixKey → Arc<V>` map with an
-/// element budget and oldest-first eviction.
-struct Bounded<V> {
-    shards: Vec<Mutex<ShardMap<V>>>,
-    /// Element budget per shard (total budget / `SHARDS`, at least 1).
-    shard_budget: usize,
-    stamp: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    obs_hits: Arc<efficsense_obs::Counter>,
-    obs_misses: Arc<efficsense_obs::Counter>,
-    obs_evictions: Arc<efficsense_obs::Counter>,
-}
-
-impl<V: Cost> Bounded<V> {
-    fn new(name: &str, budget_elements: usize) -> Self {
-        let obs = efficsense_obs::global();
-        Self {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(ShardMap {
-                        map: HashMap::new(),
-                        elements: 0,
-                    })
-                })
-                .collect(),
-            shard_budget: (budget_elements / SHARDS).max(1),
-            stamp: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            obs_hits: obs.counter(&format!("memo.{name}.hit")),
-            obs_misses: obs.counter(&format!("memo.{name}.miss")),
-            obs_evictions: obs.counter(&format!("memo.{name}.evict")),
-        }
-    }
-
-    fn shard(&self, key: PrefixKey) -> &Mutex<ShardMap<V>> {
-        // The key is already a high-quality hash; its low bits pick a shard.
-        &self.shards[(key.0 as usize) % SHARDS]
-    }
-
-    fn lock(m: &Mutex<ShardMap<V>>) -> std::sync::MutexGuard<'_, ShardMap<V>> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Looks the key up, counting the hit or miss. Misses do **not** build
-    /// under the lock — artifacts here cost milliseconds, so racing workers
-    /// build concurrently and the duplicate insert (bit-identical by
-    /// construction) is the cheaper waste.
-    fn get(&self, key: PrefixKey) -> Option<Arc<V>> {
-        let found = Self::lock(self.shard(key))
-            .map
-            .get(&key.0)
-            .map(|(_, v)| Arc::clone(v));
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.incr();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.incr();
-            }
-        }
-        found
-    }
-
-    /// Inserts a freshly built value, evicting oldest entries while the
-    /// shard exceeds its budget (the new entry itself is never evicted —
-    /// a single oversized artifact may transiently overshoot the budget,
-    /// bounded by one value).
-    fn insert(&self, key: PrefixKey, value: V) -> Arc<V> {
-        let value = Arc::new(value);
-        let cost = value.cost();
-        // relaxed: stamp is a monotone insertion counter; only relative
-        // order among stamps matters and each is written once under a lock.
-        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
-        let mut shard = Self::lock(self.shard(key));
-        if let Some((_, existing)) = shard.map.get(&key.0) {
-            // A racing worker built the same (bit-identical) value first;
-            // keep the established Arc so sharing stays maximal.
-            return Arc::clone(existing);
-        }
-        shard.elements += cost;
-        shard.map.insert(key.0, (stamp, Arc::clone(&value)));
-        let mut evicted = 0u64;
-        if shard.elements > self.shard_budget && shard.map.len() > 1 {
-            // Deterministic eviction order: sort candidates by insertion
-            // stamp (oldest first), never touching the just-inserted entry.
-            let mut order: Vec<(u64, u128)> = shard
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key.0)
-                .map(|(k, (s, _))| (*s, *k))
-                .collect();
-            order.sort_unstable();
-            for (_, k) in order {
-                if shard.elements <= self.shard_budget {
-                    break;
-                }
-                if let Some((_, v)) = shard.map.remove(&k) {
-                    shard.elements -= v.cost().min(shard.elements);
-                    evicted += 1;
-                }
-            }
-        }
-        drop(shard);
-        if evicted > 0 {
-            // relaxed: monotone statistics counter, read only for reporting.
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.obs_evictions.add(evicted);
-        }
-        value
-    }
-
-    fn stats(&self) -> ClassStats {
-        let (mut entries, mut elements) = (0, 0);
-        for s in &self.shards {
-            let s = Self::lock(s);
-            entries += s.map.len();
-            elements += s.elements;
-        }
-        ClassStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            // relaxed: statistics counter read for a monitoring snapshot.
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            elements,
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        // relaxed: statistics counter; no data is published through it.
-        self.evictions.store(0, Ordering::Relaxed);
-    }
+/// Budget weight of an acquired output (a signal buffer weighs its `f64`
+/// count); words/rms/link are a rounding error next to the samples.
+fn acquired_samples(v: &AcquiredPrefix) -> usize {
+    v.input_referred.len() + 8
 }
 
 // ---------------------------------------------------------------------------
@@ -467,25 +264,18 @@ impl Default for PrefixBudgets {
     }
 }
 
-/// The Level-3 prefix store: five bounded, sharded, content-addressed
-/// artifact classes (see the module docs). Cheap to share: clone an
-/// `Arc<PrefixStore>` into every [`crate::sweep::Sweep`] (or attach it to a
-/// bare [`crate::simulate::Simulator`]) that should amortize front-end
-/// work; attaching it never changes results, only cost.
+/// The Level-3 prefix store: five bounded, content-addressed artifact
+/// classes (see the module docs), each a single-flight [`Store`]. Cheap to
+/// share: clone an `Arc<PrefixStore>` into every [`crate::sweep::Sweep`]
+/// (or attach it to a bare [`crate::simulate::Simulator`]) that should
+/// amortize front-end work; attaching it never changes results, only cost.
+#[derive(Debug)]
 pub struct PrefixStore {
-    ct: Bounded<Vec<f64>>,
-    analog: Bounded<Vec<f64>>,
-    reference: Bounded<Vec<f64>>,
-    sampled: Bounded<Vec<f64>>,
-    acquired: Bounded<AcquiredPrefix>,
-}
-
-impl std::fmt::Debug for PrefixStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefixStore")
-            .field("stats", &self.stats())
-            .finish()
-    }
+    pub(crate) ct: Store<PrefixKey, Vec<f64>>,
+    pub(crate) analog: Store<PrefixKey, Vec<f64>>,
+    pub(crate) reference: Store<PrefixKey, Vec<f64>>,
+    pub(crate) sampled: Store<PrefixKey, Vec<f64>>,
+    pub(crate) acquired: Store<PrefixKey, AcquiredPrefix>,
 }
 
 impl Default for PrefixStore {
@@ -507,74 +297,12 @@ impl PrefixStore {
     #[must_use]
     pub fn with_budgets(b: PrefixBudgets) -> Self {
         Self {
-            ct: Bounded::new("ct", b.ct),
-            analog: Bounded::new("analog", b.analog),
-            reference: Bounded::new("reference", b.reference),
-            sampled: Bounded::new("sampled", b.sampled),
-            acquired: Bounded::new("acquired", b.acquired),
+            ct: Store::bounded("memo.ct", b.ct, Vec::len),
+            analog: Store::bounded("memo.analog", b.analog, Vec::len),
+            reference: Store::bounded("memo.reference", b.reference, Vec::len),
+            sampled: Store::bounded("memo.sampled", b.sampled, Vec::len),
+            acquired: Store::bounded("memo.acquired", b.acquired, acquired_samples),
         }
-    }
-
-    /// Looks up a resampled CT record.
-    #[must_use]
-    pub fn get_ct(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.ct.get(key)
-    }
-
-    /// Stores a freshly resampled CT record, returning the shared handle.
-    pub fn insert_ct(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        efficsense_dsp::approx::debug_assert_all_finite(&v, "prefix: ct artifact");
-        self.ct.insert(key, v)
-    }
-
-    /// Looks up an LNA-amplified buffer.
-    #[must_use]
-    pub fn get_analog(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.analog.get(key)
-    }
-
-    /// Stores a freshly amplified buffer, returning the shared handle.
-    pub fn insert_analog(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        efficsense_dsp::approx::debug_assert_all_finite(&v, "prefix: analog artifact");
-        self.analog.insert(key, v)
-    }
-
-    /// Looks up a clean reference signal.
-    #[must_use]
-    pub fn get_reference(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.reference.get(key)
-    }
-
-    /// Stores a freshly built reference signal, returning the shared handle.
-    pub fn insert_reference(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        self.reference.insert(key, v)
-    }
-
-    /// Looks up a clean-clock CS sampling.
-    #[must_use]
-    pub fn get_sampled(&self, key: PrefixKey) -> Option<Arc<Vec<f64>>> {
-        self.sampled.get(key)
-    }
-
-    /// Stores a freshly built CS sampling, returning the shared handle.
-    pub fn insert_sampled(&self, key: PrefixKey, v: Vec<f64>) -> Arc<Vec<f64>> {
-        self.sampled.insert(key, v)
-    }
-
-    /// Looks up an acquired front-end output.
-    #[must_use]
-    pub fn get_acquired(&self, key: PrefixKey) -> Option<Arc<AcquiredPrefix>> {
-        self.acquired.get(key)
-    }
-
-    /// Stores a freshly acquired front-end output, returning the shared
-    /// handle.
-    pub fn insert_acquired(&self, key: PrefixKey, v: AcquiredPrefix) -> Arc<AcquiredPrefix> {
-        efficsense_dsp::approx::debug_assert_all_finite(
-            &v.input_referred,
-            "prefix: acquired artifact",
-        );
-        self.acquired.insert(key, v)
     }
 
     /// Current counters of every class.
@@ -603,15 +331,15 @@ impl PrefixStore {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefixStats {
     /// Resampled CT records.
-    pub ct: ClassStats,
+    pub ct: StoreStats,
     /// LNA-amplified buffers.
-    pub analog: ClassStats,
+    pub analog: StoreStats,
     /// Clean reference signals.
-    pub reference: ClassStats,
+    pub reference: StoreStats,
     /// Clean-clock CS samplings.
-    pub sampled: ClassStats,
-    /// Acquired front-end outputs.
-    pub acquired: ClassStats,
+    pub sampled: StoreStats,
+    /// Acquired front-end outputs (elements count input-referred samples).
+    pub acquired: StoreStats,
 }
 
 impl PrefixStats {
@@ -649,6 +377,7 @@ impl PrefixStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn params() -> AnalogParams {
         AnalogParams {
@@ -835,77 +564,63 @@ mod tests {
         assert_ne!(ct, reference);
     }
 
+    fn budgets(elements: usize) -> PrefixBudgets {
+        PrefixBudgets {
+            ct: elements,
+            analog: elements,
+            reference: elements,
+            sampled: elements,
+            acquired: elements,
+        }
+    }
+
     #[test]
-    fn store_hits_after_insert_and_counts() {
+    fn classes_share_built_artifacts_and_count_samples() {
         let store = PrefixStore::new();
         let key = ct_key(1, 100.0, 800.0);
-        assert!(store.get_ct(key).is_none());
-        let v = store.insert_ct(key, vec![1.0, 2.0]);
-        let again = store.get_ct(key).expect("inserted entry must hit");
+        let v = store.ct.get_or_insert_with(&key, || vec![1.0, 2.0]);
+        let again = store
+            .ct
+            .get_or_insert_with(&key, || unreachable!("a hit never builds"));
         assert!(Arc::ptr_eq(&v, &again), "same key must share one instance");
-        let s = store.stats().ct;
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert_eq!(s.elements, 2);
+        let s = store.stats();
+        assert_eq!((s.ct.hits, s.ct.misses, s.ct.entries), (1, 1, 1));
+        assert_eq!(s.ct.elements, 2, "a buffer weighs one element per f64");
+        assert_eq!((s.hits(), s.misses()), (1, 1));
+        let acquired = store.acquired.get_or_insert_with(&key, || AcquiredPrefix {
+            input_referred: vec![0.0; 4],
+            words: 4,
+            adc_in_rms: 0.1,
+            link: None,
+        });
+        assert_eq!(acquired.words, 4);
+        assert_eq!(store.stats().acquired.elements, 4 + 8);
         store.reset_stats();
-        assert_eq!(store.stats().ct.hits, 0);
+        assert_eq!(store.stats().hits(), 0);
+        assert_eq!(store.stats().ct.entries, 1, "reset keeps entries");
     }
 
     #[test]
-    fn racing_insert_keeps_established_value() {
-        let store = PrefixStore::new();
-        let key = ct_key(2, 100.0, 800.0);
-        let first = store.insert_ct(key, vec![1.0]);
-        let second = store.insert_ct(key, vec![1.0]);
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(store.stats().ct.entries, 1);
-    }
-
-    #[test]
-    fn capped_store_evicts_oldest_first() {
+    fn capped_class_evicts_and_rebuilds() {
         // Budget 32 elements → 2 per shard; 8-element values force churn.
-        let store = PrefixStore::with_budgets(PrefixBudgets {
-            ct: 32,
-            analog: 32,
-            reference: 32,
-            sampled: 32,
-            acquired: 32,
-        });
+        let store = PrefixStore::with_budgets(budgets(32));
         let keys: Vec<PrefixKey> = (0..64).map(|i| ct_key(i, 100.0, 800.0)).collect();
-        for &k in &keys {
-            store.insert_ct(k, vec![0.5; 8]);
+        for k in &keys {
+            store.ct.get_or_insert_with(k, || vec![0.5; 8]);
         }
-        let s = store.stats().ct;
-        assert!(s.evictions > 0, "over-budget inserts must evict");
-        assert!(
-            s.elements <= 16 * 8,
-            "held elements must stay near budget (got {})",
-            s.elements
-        );
-        // The newest keys survive; evicted keys miss and can be rebuilt.
-        let mut present = 0;
-        for &k in &keys {
-            if store.get_ct(k).is_some() {
-                present += 1;
-            }
-        }
-        assert!(present >= 1, "a capped store must still hold entries");
-        assert_eq!(store.stats().ct.entries, present);
-    }
-
-    #[test]
-    fn oversized_value_still_inserts() {
-        let store = PrefixStore::with_budgets(PrefixBudgets {
-            ct: 16,
-            analog: 16,
-            reference: 16,
-            sampled: 16,
-            acquired: 16,
-        });
-        let key = ct_key(77, 100.0, 800.0);
-        store.insert_ct(key, vec![0.0; 1000]);
-        assert!(
-            store.get_ct(key).is_some(),
-            "a single artifact above budget must still be usable"
-        );
+        let s = store.stats();
+        assert_eq!(s.evictions(), 64 - s.ct.entries as u64);
+        assert!(s.ct.elements <= 16 * 8, "held {} elements", s.ct.elements);
+        // The newest key survives; an evicted key misses and rebuilds.
+        assert!(store.ct.get(&keys[63]).is_some());
+        let evicted = keys
+            .iter()
+            .find(|k| store.ct.get(k).is_none())
+            .expect("an over-budget class evicts");
+        let before = store.stats().ct.misses;
+        store.ct.get_or_insert_with(evicted, || vec![0.5; 8]);
+        assert_eq!(store.stats().ct.misses, before + 1);
+        // Budgets are per class: the other classes are untouched.
+        assert_eq!(store.stats().analog, StoreStats::default());
     }
 }

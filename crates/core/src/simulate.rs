@@ -336,49 +336,85 @@ impl Simulator {
             );
         }
         let cfg = &self.cfg;
-        let f_ct = cfg.f_ct_hz();
         let f_s = cfg.design.f_sample_hz();
         // L3: fingerprint the record once per run; every prefix key hangs
         // off it. `None` keeps the store-less path allocation-for-allocation
         // identical to before the store existed.
-        let store = self.prefix.as_deref().map(|s| {
-            let fp = prefix::record_fingerprint(input);
-            (s, fp)
-        });
+        let store = self
+            .prefix
+            .as_deref()
+            .map(|s| (s, prefix::record_fingerprint(input)));
+        let build = |scratch: &mut SimScratch| {
+            let (acquired, words, adc_in_rms, link) = self.acquire(input, fs_in, noise_seed, store);
+            // Refer back to the sensor input.
+            let mut input_referred = scratch.take(acquired.len());
+            input_referred.extend(acquired.iter().map(|v| v / cfg.lna.gain));
+            efficsense_dsp::approx::debug_assert_all_finite(
+                &input_referred,
+                "simulate: input-referred output",
+            );
+            scratch.reclaim(acquired);
+            AcquiredPrefix {
+                input_referred,
+                words,
+                adc_in_rms,
+                link,
+            }
+        };
         // Deepest prefix first: a whole acquired front-end output makes the
         // resample/LNA/encode/decode chain unnecessary.
-        let acquired_key = store.map(|(s, fp)| {
-            (
-                s,
-                prefix::acquired_key(&self.cfg_key, &self.plan_key, fp, fs_in, noise_seed),
-            )
-        });
-        if let Some((s, key)) = acquired_key {
-            if let Some(acq) = s.get_acquired(key) {
-                let mut input_referred = scratch.take(acq.input_referred.len());
-                input_referred.extend_from_slice(&acq.input_referred);
-                let reference =
-                    self.reference_signal(input, fs_in, f_s, input_referred.len(), store, scratch);
-                let power = {
-                    let _power_span = efficsense_obs::span!("stage.power");
-                    self.power_breakdown(acq.adc_in_rms)
-                };
-                return SimOutput {
+        let acq = match store {
+            None => build(scratch),
+            Some((s, fp)) => {
+                let key =
+                    prefix::acquired_key(&self.cfg_key, &self.plan_key, fp, fs_in, noise_seed);
+                let shared = s.acquired.get_or_insert_with(&key, || {
+                    let built = build(scratch);
+                    efficsense_dsp::approx::debug_assert_all_finite(
+                        &built.input_referred,
+                        "prefix: acquired artifact",
+                    );
+                    built
+                });
+                let mut input_referred = scratch.take(shared.input_referred.len());
+                input_referred.extend_from_slice(&shared.input_referred);
+                AcquiredPrefix {
                     input_referred,
-                    reference,
-                    fs_out: f_s,
-                    power,
-                    area_units: self.area_units(),
-                    words: acq.words,
-                    link: acq.link,
-                };
+                    ..*shared
+                }
             }
+        };
+        let reference =
+            self.reference_signal(input, fs_in, f_s, acq.input_referred.len(), store, scratch);
+        let power = {
+            let _power_span = efficsense_obs::span!("stage.power");
+            self.power_breakdown(acq.adc_in_rms)
+        };
+        SimOutput {
+            input_referred: acq.input_referred,
+            reference,
+            fs_out: f_s,
+            power,
+            area_units: self.area_units(),
+            words: acq.words,
+            link: acq.link,
         }
-        // Steps 1–2 under their own span so per-stage telemetry separates the
-        // analog front end (resample + LNA) from acquisition and decode. The
-        // analog key is derived from the exact LNA constructor inputs and
-        // fault stream, so two runs sharing a key are bit-identical by
-        // construction.
+    }
+
+    /// Steps 1–3: the analog front end (resample + LNA) and the
+    /// architecture-specific acquisition, with the front-end output shared
+    /// through the prefix store when one is attached. The analog key is
+    /// derived from the exact LNA constructor inputs and fault stream, so
+    /// two runs sharing a key are bit-identical by construction.
+    fn acquire(
+        &self,
+        input: &[f64],
+        fs_in: f64,
+        noise_seed: u64,
+        store: Option<(&PrefixStore, u64)>,
+    ) -> (Vec<f64>, u64, f64, Option<LinkStats>) {
+        let cfg = &self.cfg;
+        let f_ct = cfg.f_ct_hz();
         let lna_seed = cfg.seed ^ noise_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let lna_fault = self.plan.as_ref().and_then(|plan| {
             plan.lna
@@ -402,77 +438,48 @@ impl Simulator {
                 }),
             )
         });
+        // Steps 1–2 under their own span so per-stage telemetry separates the
+        // analog front end from acquisition and decode.
         let amplified: Buf = {
             let _analog_span = efficsense_obs::span!("sim.analog");
-            match analog_key.and_then(|(s, key)| s.get_analog(key)) {
-                Some(hit) => Buf::Shared(hit),
-                None => {
-                    // Priced by the L3 cache-efficacy report: this span is
-                    // exactly the work an `memo.analog` hit avoids.
-                    let _build_span = efficsense_obs::span!("sim.analog.build");
-                    let ct = self.ct_signal(input, fs_in, f_ct, store);
-                    // LNA: fresh instance; noise varies with the record.
-                    let mut lna = Lna::from_design(
-                        &cfg.design,
-                        cfg.lna.gain,
-                        cfg.lna.noise_floor_vrms,
-                        cfg.lna.k3,
-                        f_ct,
-                        lna_seed,
-                    );
-                    if let Some((fault, stream_seed)) = lna_fault {
-                        lna.inject_rail_fault(Some(fault), stream_seed);
-                    }
-                    let built = lna.process_buffer(&ct);
-                    match analog_key {
-                        Some((s, key)) => Buf::Shared(s.insert_analog(key, built)),
-                        None => Buf::Owned(built),
-                    }
+            let build = || {
+                // Priced by the L3 cache-efficacy report: this span is
+                // exactly the work an `memo.analog` hit avoids.
+                let _build_span = efficsense_obs::span!("sim.analog.build");
+                let ct = self.ct_signal(input, fs_in, f_ct, store);
+                // LNA: fresh instance; noise varies with the record.
+                let mut lna = Lna::from_design(
+                    &cfg.design,
+                    cfg.lna.gain,
+                    cfg.lna.noise_floor_vrms,
+                    cfg.lna.k3,
+                    f_ct,
+                    lna_seed,
+                );
+                if let Some((fault, stream_seed)) = lna_fault {
+                    lna.inject_rail_fault(Some(fault), stream_seed);
                 }
+                lna.process_buffer(&ct)
+            };
+            match analog_key {
+                Some((s, key)) => Buf::Shared(s.analog.get_or_insert_with(&key, || {
+                    let built = build();
+                    efficsense_dsp::approx::debug_assert_all_finite(
+                        &built,
+                        "prefix: analog artifact",
+                    );
+                    built
+                })),
+                None => Buf::Owned(build()),
             }
         };
         efficsense_dsp::approx::debug_assert_all_finite(&amplified, "simulate: LNA output");
         // Step 3: architecture-specific acquisition.
-        let (acquired, words, adc_in_rms, link) = match &self.arch {
+        match &self.arch {
             ArchState::Baseline => self.acquire_baseline(&amplified, f_ct, noise_seed),
             ArchState::Cs(state) => {
                 self.acquire_cs(state, &amplified, f_ct, noise_seed, analog_key)
             }
-        };
-        // Refer back to the sensor input.
-        let mut input_referred = scratch.take(acquired.len());
-        input_referred.extend(acquired.iter().map(|v| v / cfg.lna.gain));
-        efficsense_dsp::approx::debug_assert_all_finite(
-            &input_referred,
-            "simulate: input-referred output",
-        );
-        scratch.reclaim(acquired);
-        if let Some((s, key)) = acquired_key {
-            s.insert_acquired(
-                key,
-                AcquiredPrefix {
-                    input_referred: input_referred.clone(),
-                    words,
-                    adc_in_rms,
-                    link,
-                },
-            );
-        }
-        let reference =
-            self.reference_signal(input, fs_in, f_s, input_referred.len(), store, scratch);
-        let power = {
-            let _power_span = efficsense_obs::span!("stage.power");
-            self.power_breakdown(adc_in_rms)
-        };
-        let area_units = self.area_units();
-        SimOutput {
-            input_referred,
-            reference,
-            fs_out: f_s,
-            power,
-            area_units,
-            words,
-            link,
         }
     }
 
@@ -489,10 +496,11 @@ impl Simulator {
         match store {
             Some((s, fp)) => {
                 let key = prefix::ct_key(fp, fs_in, f_ct);
-                match s.get_ct(key) {
-                    Some(hit) => Buf::Shared(hit),
-                    None => Buf::Shared(s.insert_ct(key, resample_linear(input, fs_in, f_ct))),
-                }
+                Buf::Shared(s.ct.get_or_insert_with(&key, || {
+                    let ct = resample_linear(input, fs_in, f_ct);
+                    efficsense_dsp::approx::debug_assert_all_finite(&ct, "prefix: ct artifact");
+                    ct
+                }))
             }
             None => Buf::Owned(resample_linear(input, fs_in, f_ct)),
         }
@@ -519,13 +527,12 @@ impl Simulator {
         match store {
             Some((s, fp)) => {
                 let key = prefix::reference_key(fp, fs_in, f_s, len);
-                match s.get_reference(key) {
-                    Some(hit) => reference.extend_from_slice(&hit),
-                    None => {
-                        build(&mut reference);
-                        s.insert_reference(key, reference.clone());
-                    }
-                }
+                let shared = s.reference.get_or_insert_with(&key, || {
+                    let mut built = Vec::with_capacity(len);
+                    build(&mut built);
+                    built
+                });
+                reference.extend_from_slice(&shared);
             }
             None => build(&mut reference),
         }
@@ -651,19 +658,16 @@ impl Simulator {
             // buffer, so its memo key composes the analog key.
             let key =
                 sampled_ctx.map(|(s, analog)| (s, prefix::sampled_key(analog, f_s, n_samples)));
-            match key.and_then(|(s, k)| s.get_sampled(k)) {
-                Some(hit) => Buf::Shared(hit),
-                None => {
-                    // Priced by the L3 cache-efficacy report (memo.sampled).
-                    let _build_span = efficsense_obs::span!("sim.sample.build");
-                    let built: Vec<f64> = (0..n_samples)
-                        .map(|i| sample_at(amplified, f_ct, i as f64 / f_s))
-                        .collect();
-                    match key {
-                        Some((s, k)) => Buf::Shared(s.insert_sampled(k, built)),
-                        None => Buf::Owned(built),
-                    }
-                }
+            let build = || {
+                // Priced by the L3 cache-efficacy report (memo.sampled).
+                let _build_span = efficsense_obs::span!("sim.sample.build");
+                (0..n_samples)
+                    .map(|i| sample_at(amplified, f_ct, i as f64 / f_s))
+                    .collect()
+            };
+            match key {
+                Some((s, k)) => Buf::Shared(s.sampled.get_or_insert_with(&k, build)),
+                None => Buf::Owned(build()),
             }
         };
         let mut encoder = ChargeSharingEncoder::new(

@@ -264,12 +264,17 @@ impl Sweep {
         // seed so a flaky point gets a genuinely different realisation.
         // Detector training is memoized process-wide, so repeated sweeps
         // over the same dataset (the product-sweep workload) train once.
+        // The detector key and the cache context share one fingerprint of
+        // the dataset, taken at most once per sweep.
+        let fingerprint = std::sync::OnceLock::new();
+        let dataset_fp = || *fingerprint.get_or_init(|| crate::cache::dataset_fingerprint(dataset));
         let make_goal = |salt: u64| -> Box<dyn GoalFunction + Sync> {
             match metric {
                 Metric::Snr => Box::new(SnrGoal),
                 Metric::DetectionAccuracy => {
-                    let detector = crate::cache::trained_detector(
+                    let detector = crate::cache::trained_detector_keyed(
                         dataset,
+                        dataset_fp(),
                         fs,
                         epoch_s,
                         salted_seed(detector_seed, salt),
@@ -279,10 +284,9 @@ impl Sweep {
             }
         };
         let goal: Box<dyn GoalFunction + Sync> = make_goal(0);
-        // The cache context is sweep-invariant; fingerprint the dataset once.
         let ctx = self.cache.as_ref().map(|_| crate::cache::EvalContext {
             goal: crate::cache::goal_descriptor(metric, detector_seed, epoch_s),
-            dataset_fingerprint: crate::cache::dataset_fingerprint(dataset),
+            dataset_fingerprint: dataset_fp(),
         });
         let cache = self.cache.as_deref();
         let prefix = self.prefix.as_ref();

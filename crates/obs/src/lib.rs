@@ -40,18 +40,24 @@
 //! folded-stack flamegraph text, cache-efficacy estimates, and a
 //! per-stage [`profile::diff`] that attributes a throughput change to
 //! the stages responsible.
+//!
+//! [`Store`] is the one concurrent memo store behind every evaluation
+//! cache level; it lives here so its hit/miss/evict counts mirror into
+//! the registry.
 
 pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
+pub mod store;
 pub mod trace;
 
 pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use metrics::{bucket_floor_us, bucket_index, Counter, Histogram, HistogramSnapshot, BUCKETS};
 pub use profile::{Profile, ProfileBuilder, ProfileDiff, StageStats};
 pub use registry::{global, ObsRegistry, Snapshot, SpanGuard};
+pub use store::{Store, StoreStats};
 pub use trace::{FieldValue, TraceEvent};
 
 /// Opens a named span on the [`global`] registry, returning a guard that
