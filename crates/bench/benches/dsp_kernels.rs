@@ -1,5 +1,5 @@
-//! Benchmark: DSP kernels (FFT, Welch PSD, filtering, SNDR) that every
-//! behavioural simulation leans on.
+//! Benchmark: DSP kernels (FFT, Welch PSD, filtering, SNDR, detector
+//! features) that every behavioural simulation leans on.
 
 use efficsense_bench::harness::{black_box, Harness};
 use efficsense_dsp::fft::Fft;
@@ -8,6 +8,8 @@ use efficsense_dsp::metrics::sndr_db;
 use efficsense_dsp::spectrum::{sine, welch};
 use efficsense_dsp::window::Window;
 use efficsense_dsp::Complex;
+use efficsense_ml::FeatureExtractor;
+use efficsense_signals::{EegClass, EegGenerator, EegParams};
 
 fn main() {
     let mut h = Harness::from_args();
@@ -23,6 +25,12 @@ fn main() {
     });
     h.bench_function("dsp/welch_8192_seg1024", |b| {
         b.iter(|| black_box(welch(&x, 8192.0, 1024, Window::Hann)))
+    });
+    // One detector decision window: 2 s at 537.6 Hz (seven Welch segments).
+    let window = EegGenerator::new(EegParams::default(), 7).record(EegClass::Seizure, 537.6, 2.0);
+    let extractor = FeatureExtractor::default();
+    h.bench_function("dsp/features_window_1075", |b| {
+        b.iter(|| black_box(extractor.extract(black_box(&window), 537.6)))
     });
     h.bench_function("dsp/sndr_8192", |b| {
         b.iter(|| black_box(sndr_db(&x, 8192.0, 441.0)))

@@ -110,9 +110,9 @@ impl GoalFunction for DetectionGoal {
 
     fn evaluate(&self, outputs: &[(SimOutput, usize)]) -> f64 {
         assert!(!outputs.is_empty(), "cannot score an empty evaluation set");
-        let pairs: Vec<(Vec<f64>, usize)> = outputs
+        let pairs: Vec<(&[f64], usize)> = outputs
             .iter()
-            .map(|(o, label)| (o.input_referred.clone(), *label))
+            .map(|(o, label)| (o.input_referred.as_slice(), *label))
             .collect();
         let fs = outputs[0].0.fs_out;
         // Separates inference proper from the pair-assembly above in the
