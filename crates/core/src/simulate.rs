@@ -89,6 +89,10 @@ pub struct Simulator {
     /// plan axis of the `acquired` prefix key. Kept in lockstep with `plan`
     /// by [`Simulator::set_fault_plan`].
     pub(crate) plan_key: Arc<str>,
+    /// The converter as built for `cfg` (mismatch drawn, DAC levels
+    /// tabulated). Each record converts on a fresh clone, whose
+    /// comparator-noise stream starts where a newly built converter's would.
+    pub(crate) adc: SarAdc,
 }
 
 /// Reusable per-thread simulation buffers. A sweep worker holds one scratch
@@ -224,7 +228,17 @@ impl Simulator {
         // same sufficiency argument as the L1 point key — and is computed
         // once here rather than per record.
         let cfg_key = Arc::from(format!("{cfg:?}"));
+        let adc = SarAdc::new(
+            cfg.design.n_bits,
+            cfg.design.v_fs,
+            cfg.adc.c_u_f,
+            cfg.adc.comparator_noise_v,
+            cfg.adc.comparator_offset_v,
+            &cfg.tech,
+            cfg.seed,
+        );
         Ok(Self {
+            adc,
             cfg,
             arch,
             plan: None,
@@ -576,15 +590,7 @@ impl Simulator {
                 .inject_clock_fault(plan.clock, plan.stream(record_salt(SALT_CLOCK, noise_seed)));
         }
         let sampled = sampler.sample(amplified, f_ct);
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
+        let mut adc = self.adc.clone();
         if let Some(plan) = &self.plan {
             adc.inject_stuck_bit(plan.adc);
         }
@@ -680,15 +686,7 @@ impl Simulator {
             &cfg.design,
             cfg.seed ^ noise_seed.rotate_left(17),
         );
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
+        let mut adc = self.adc.clone();
         let mut link_ctx = None;
         if let Some(plan) = &self.plan {
             encoder.inject_leakage_fault(plan.leakage, &cfg.tech, &cfg.design);
@@ -799,16 +797,7 @@ impl Simulator {
             lna.power(self.lna_load_f(), &cfg.tech, &cfg.design),
         );
         // ADC (comparator + SAR logic + DAC).
-        let adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
-        b = b.merged(&adc.power_breakdown(adc_in_rms, &cfg.tech, &cfg.design));
+        b = b.merged(&self.adc.power_breakdown(adc_in_rms, &cfg.tech, &cfg.design));
         // A lossy link retransmits: the radio clocks out expected-attempts×
         // the data words, inflating the average TX power by the same factor.
         let retry_factor = self

@@ -797,15 +797,7 @@ impl StreamSimulator {
     ) -> BaselineBack {
         let cfg = &sim.cfg;
         let mut sampler = Sampler::new(f_s, sim.sh_cap_f(), 0.0, cfg.seed ^ noise_seed ^ 0x5A5A);
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
+        let mut adc = sim.adc.clone();
         let mut link = None;
         match mode {
             FaultMode::Static => {
@@ -890,15 +882,7 @@ impl StreamSimulator {
             &cfg.design,
             cfg.seed ^ noise_seed.rotate_left(17),
         );
-        let mut adc = SarAdc::new(
-            cfg.design.n_bits,
-            cfg.design.v_fs,
-            cfg.adc.c_u_f,
-            cfg.adc.comparator_noise_v,
-            cfg.adc.comparator_offset_v,
-            &cfg.tech,
-            cfg.seed,
-        );
+        let mut adc = sim.adc.clone();
         let mut clock = None;
         let mut link = None;
         match mode {
