@@ -1,13 +1,16 @@
 //! Golden fixtures: FNV-1a checksums over the IEEE 754 bit patterns of the
-//! behavioural SAR ADC's outputs.
+//! behavioural SAR ADC's and charge-sharing encoder's outputs.
 //!
 //! Conversion consumes comparator-noise draws in a fixed order and sums the
-//! mismatched DAC weights in a fixed order; both must survive any rewrite of
-//! the converter bit for bit.
+//! mismatched DAC weights in a fixed order; encoding draws mismatch once and
+//! kT/C noise per share in schedule order. All of it must survive any
+//! rewrite of either block bit for bit.
 
-use efficsense_blocks::SarAdc;
-use efficsense_faults::AdcStuckBitFault;
-use efficsense_power::TechnologyParams;
+use efficsense_blocks::cs_frontend::EncoderImperfections;
+use efficsense_blocks::{ChargeSharingEncoder, SarAdc};
+use efficsense_cs::SensingMatrix;
+use efficsense_faults::{AdcStuckBitFault, CapLeakageFault};
+use efficsense_power::{DesignParams, TechnologyParams};
 use efficsense_rng::Rng64;
 
 /// FNV-1a (64-bit) over the little-endian bit patterns of `xs`.
@@ -89,4 +92,77 @@ fn sar_adc_outputs_are_pinned() {
         .map(|((name, g), p)| format!("{name}: got {g:#018x}, pinned {p:#018x}"))
         .collect();
     assert!(moved.is_empty(), "golden mismatch:\n{}", moved.join("\n"));
+}
+
+/// An amplified-scale record at the encoder's sample rate: 11 frames of
+/// N_Φ = 384 plus a partial frame the encoder must drop.
+fn encoder_input() -> Vec<f64> {
+    let mut g = Rng64::new(0xC5E);
+    (0..4300)
+        .map(|i| 0.4 * (i as f64 * 0.093).sin() + 0.05 * g.normal())
+        .collect()
+}
+
+fn assert_pinned(got: &[(String, u64)], pinned: &[u64]) {
+    assert_eq!(got.len(), pinned.len(), "case count changed");
+    let moved: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((_, g), p)| g != *p)
+        .map(|((name, g), p)| format!("{name}: got {g:#018x}, pinned {p:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "golden mismatch:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn cs_encoder_outputs_are_pinned() {
+    let tech = TechnologyParams::gpdk045();
+    let design = DesignParams::paper_defaults(8);
+    let x = encoder_input();
+    let encoder = |m: usize, imperfections: EncoderImperfections, seed: u64| {
+        ChargeSharingEncoder::new(
+            SensingMatrix::srbm(m, 384, 2, 0x5EB1 ^ m as u64),
+            0.1e-12,
+            0.5e-12,
+            1.0 / design.f_sample_hz(),
+            imperfections,
+            &tech,
+            &design,
+            seed,
+        )
+    };
+    let leak = Some(CapLeakageFault {
+        leak_multiplier: 100.0,
+    });
+    let mut got = Vec::new();
+    for m in [75usize, 192] {
+        // Mismatch, kT/C and leakage; a second record continues the
+        // encoder's noise stream.
+        let mut enc = encoder(m, EncoderImperfections::realistic(), 0xE1 + m as u64);
+        got.push((format!("realistic_m{m}"), fnv(&enc.encode_record(&x))));
+        got.push((format!("realistic_m{m}_again"), fnv(&enc.encode_record(&x))));
+        // The same chip with an injected hold-cap leakage fault.
+        let mut faulted = encoder(m, EncoderImperfections::realistic(), 0xE1 + m as u64);
+        faulted.inject_leakage_fault(leak, &tech, &design);
+        got.push((format!("cap_leakage_m{m}"), fnv(&faulted.encode_record(&x))));
+    }
+    // The fault forces droop on even with modelled leakage switched off.
+    let mut ideal = encoder(75, EncoderImperfections::ideal(), 3);
+    got.push(("ideal_m75".to_string(), fnv(&ideal.encode_record(&x))));
+    ideal.inject_leakage_fault(leak, &tech, &design);
+    got.push((
+        "ideal_cap_leakage_m75".to_string(),
+        fnv(&ideal.encode_record(&x)),
+    ));
+    let pinned: [u64; 8] = [
+        0x28323599d09532a9,
+        0x3afb28d56a73e069,
+        0x41864b94f88cf00a,
+        0x042ae763a9256bcd,
+        0x2c4edc4476be11d6,
+        0xd21407ab4e381ee8,
+        0xa18528edc7eb224d,
+        0xba6b58f67a799a34,
+    ];
+    assert_pinned(&got, &pinned);
 }
