@@ -11,10 +11,10 @@
 //!   precomputations shared per `(m, n, seed, kind)` — measured by running
 //!   one sweep with a cleared memo store and again with a warm one.
 //! * **Level 3** (`efficsense_core::prefix`): stage-prefix artifacts
-//!   (resampled records, LNA output, clean-clock samplings, references,
-//!   whole acquired front-ends) shared across sweep points — measured as a
-//!   store-off pass vs the headline uncached pass, plus an uncached
-//!   thread-scaling section at 1/2/4 workers.
+//!   (resampled records, LNA output, clean-clock samplings, CS encoder
+//!   outputs, references, whole acquired front-ends) shared across sweep
+//!   points — measured as a store-off pass vs the headline uncached pass,
+//!   plus an uncached thread-scaling section at 1/2/4 workers.
 //! * **Level 1** (`efficsense_core::cache`): whole `evaluate_point` results
 //!   keyed by content ([`efficsense_core::cache::point_key`]) — measured
 //!   across the product passes. Severity-0 cells canonicalise to the clean
@@ -191,7 +191,7 @@ fn main() {
     let pstats = prefix_a.stats();
     println!(
         "    store off {:.2}s | on {:.2}s ({:.2}×) — analog {}h/{}m, sampled {}h/{}m, \
-         reference {}h/{}m, acquired {}h/{}m",
+         encoded {}h/{}m, reference {}h/{}m, acquired {}h/{}m",
         secs(t_prefix_off),
         secs(t_uncached),
         prefix_speedup,
@@ -199,6 +199,8 @@ fn main() {
         pstats.analog.misses,
         pstats.sampled.hits,
         pstats.sampled.misses,
+        pstats.encoded.hits,
+        pstats.encoded.misses,
         pstats.reference.hits,
         pstats.reference.misses,
         pstats.acquired.hits,
@@ -337,6 +339,7 @@ fn main() {
         "sim.analog.build",
         "sim.sample.build",
         "sim.reference.build",
+        "sim.encode.build",
         "sim.encode",
         "stage.reconstruct",
         "recon.batch",
@@ -367,6 +370,7 @@ fn main() {
         + self_s("sim.analog.build")
         + self_s("sim.sample.build")
         + self_s("sim.reference.build")
+        + self_s("sim.encode.build")
         + self_s("sim.encode")
         + self_s("stage.detect")
         + self_s("detect.infer")
@@ -408,7 +412,7 @@ fn main() {
          \"cache_entries\": {},\n  \"cold_hits\": {},\n  \"cold_misses\": {},\n  \
          \"warm_hit_rate\": {:?},\n  \"prefix_store\": {{\n    \"analog_hits\": {},\n    \
          \"analog_misses\": {},\n    \"sampled_hits\": {},\n    \"sampled_misses\": {},\n    \
-         \"reference_hits\": {},\n    \"reference_misses\": {},\n    \"acquired_hits\": {},\n    \
+         \"encoded_hits\": {},\n    \"encoded_misses\": {},\n    \"reference_hits\": {},\n    \"reference_misses\": {},\n    \"acquired_hits\": {},\n    \
          \"acquired_misses\": {},\n    \"evictions\": {}\n  }},\n  \
          \"artifact_memo\": {{\n    \"cold_s\": {:?},\n    \
          \"warm_s\": {:?},\n    \"speedup\": {:?},\n    \"dictionary_builds\": {},\n    \"dictionary_hits\": {}\n  }},\n  \"profile\": {},\n  \"obs\": {}\n}}\n",
@@ -436,6 +440,8 @@ fn main() {
         pstats.analog.misses,
         pstats.sampled.hits,
         pstats.sampled.misses,
+        pstats.encoded.hits,
+        pstats.encoded.misses,
         pstats.reference.hits,
         pstats.reference.misses,
         pstats.acquired.hits,

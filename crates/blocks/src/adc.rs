@@ -145,10 +145,10 @@ impl SarAdc {
                 0.0
             };
             // Keep the bit if the input (plus comparator error) is above the
-            // trial level's midpoint reference.
-            if u + decision_noise + self.comparator_offset_v >= v_dac {
-                code = trial;
-            }
+            // trial level's midpoint reference. Bit `i` is still clear here,
+            // so OR-ing the decision in equals assigning `trial` on a keep.
+            let keep = u + decision_noise + self.comparator_offset_v >= v_dac;
+            code |= u32::from(keep) << i;
         }
         if let Some(f) = &self.stuck {
             let mask = 1u32 << f.bit.min(self.n_bits - 1);

@@ -14,7 +14,7 @@
 //! * **L3** (this module) — *stage-prefix artifacts* of the simulation
 //!   pipeline, shared across sweep points whose prefixes coincide.
 //!
-//! Five artifact classes are stored, from shallowest to deepest prefix:
+//! Six artifact classes are stored, from shallowest to deepest prefix:
 //!
 //! | class       | contents                                   | key axes |
 //! |-------------|--------------------------------------------|----------|
@@ -22,7 +22,15 @@
 //! | `analog`    | LNA-amplified proxy buffer                 | `ct` axes + LNA gain/noise/bandwidth/k3/v_clip, mixed LNA seed, canonical LNA-fault params + stream seed |
 //! | `reference` | clean input at `f_s`, trimmed to a length  | record fingerprint, `fs_in`, `f_s`, length |
 //! | `sampled`   | clean-clock CS sampling of the `analog` buffer | `analog` key, `f_s`, sample count |
+//! | `encoded`   | charge-sharing encoder output for the whole record (`n_frames × M` pre-ADC measurements) | `sampled` key + M, N_Φ, s, Φ seed, C_sample, C_hold, sample period, imperfection flags, the tech/design fields the encoder reads, encoder seed, canonical leakage fault |
 //! | `acquired`  | full front-end output (input-referred samples, word count, ADC input RMS, link stats) | full `SystemConfig`, canonical fault plan, record fingerprint, `fs_in`, noise seed |
+//!
+//! In the CS chain charge sharing happens before the ADC, so one `encoded`
+//! artifact serves every resolution and every ADC or link fault of a
+//! sensing front end. Fault keys are scoped to the stage a fault reaches:
+//! `analog` carries only the LNA fault, `encoded` only the leakage fault,
+//! and the simulator drops plan members an architecture never reads before
+//! it derives the `acquired` plan axis.
 //!
 //! Every artifact is **derived deterministically from its key**, so a
 //! memoized artifact is bit-identical to a freshly built one: attaching a
@@ -42,7 +50,8 @@
 //! construction. Workers that miss on the same key wait for one build.
 
 use crate::cache::KeyHasher;
-use efficsense_faults::{LinkStats, LnaRailFault};
+use efficsense_blocks::cs_frontend::EncoderImperfections;
+use efficsense_faults::{CapLeakageFault, LinkStats, LnaRailFault};
 use efficsense_obs::{Store, StoreStats};
 
 /// Bump on any change to prefix-key derivation; disjoint from the L1
@@ -179,6 +188,75 @@ pub fn sampled_key(analog: PrefixKey, f_s: f64, n: usize) -> PrefixKey {
     PrefixKey(h.digest())
 }
 
+/// Everything the charge-sharing encoder's output depends on beyond its
+/// sampled input: the exact [`efficsense_blocks::ChargeSharingEncoder::new`]
+/// inputs (the schedule by its memo key) and the leakage fault the encoder
+/// is injected with. Nothing downstream of the encoder — resolution, ADC
+/// or link faults — is an axis, so those points share one artifact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EncodedParams {
+    /// The [`sampled_key`] of the encoder's input.
+    pub sampled: PrefixKey,
+    /// Measurements per frame (M).
+    pub m: usize,
+    /// Frame length N_Φ.
+    pub n_phi: usize,
+    /// Non-zeros per Φ column.
+    pub s: usize,
+    /// Seed of the Φ schedule.
+    pub phi_seed: u64,
+    /// Nominal sample capacitor (F).
+    pub c_sample_f: f64,
+    /// Nominal hold capacitor (F).
+    pub c_hold_f: f64,
+    /// Sample period driving the leakage droop (s).
+    pub sample_period_s: f64,
+    /// Mismatch, kT/C and leakage switches.
+    pub imperfections: EncoderImperfections,
+    /// Technology capacitor density (sets the mismatch σ).
+    pub cap_density_f_per_um2: f64,
+    /// Technology mismatch coefficient (sets the mismatch σ).
+    pub c_pk_frac_um2: f64,
+    /// Technology off-current (sets the droop time constant).
+    pub i_leak_a: f64,
+    /// Reference voltage (sets the droop time constant).
+    pub v_ref: f64,
+    /// Encoder seed (mismatch draws and kT/C noise stream).
+    pub encoder_seed: u64,
+    /// Active leakage fault; `None` covers both "no fault" and a noop one.
+    pub leakage: Option<CapLeakageFault>,
+}
+
+/// Key of the charge-sharing encoder's output for one record.
+#[must_use]
+pub fn encoded_key(p: &EncodedParams) -> PrefixKey {
+    let mut h = hasher("encoded");
+    h.field("sampled", &format!("{:032x}", p.sampled.0));
+    h.field_u64("m", p.m as u64);
+    h.field_u64("n_phi", p.n_phi as u64);
+    h.field_u64("s", p.s as u64);
+    h.field_u64("phi_seed", p.phi_seed);
+    h.field_u64("c_sample", p.c_sample_f.to_bits());
+    h.field_u64("c_hold", p.c_hold_f.to_bits());
+    h.field_u64("period", p.sample_period_s.to_bits());
+    h.field_u64("mismatch", u64::from(p.imperfections.mismatch));
+    h.field_u64("ktc", u64::from(p.imperfections.ktc_noise));
+    h.field_u64("leak", u64::from(p.imperfections.leakage));
+    h.field_u64("cap_density", p.cap_density_f_per_um2.to_bits());
+    h.field_u64("c_pk", p.c_pk_frac_um2.to_bits());
+    h.field_u64("i_leak", p.i_leak_a.to_bits());
+    h.field_u64("v_ref", p.v_ref.to_bits());
+    h.field_u64("seed", p.encoder_seed);
+    match p.leakage {
+        None => h.field("fault", "clean"),
+        Some(f) => {
+            h.field("fault", "leakage");
+            h.field_u64("leak_multiplier", f.leak_multiplier.to_bits());
+        }
+    }
+    PrefixKey(h.digest())
+}
+
 /// Key of the full acquired front-end output for one record. The deepest
 /// prefix: everything up to (and including) reconstruction, just before
 /// the goal function. Keyed by the complete configuration rendering and
@@ -244,27 +322,30 @@ pub struct PrefixBudgets {
     pub reference: usize,
     /// Clean-clock CS samplings.
     pub sampled: usize,
+    /// Charge-sharing encoder outputs.
+    pub encoded: usize,
     /// Acquired front-end outputs.
     pub acquired: usize,
 }
 
 impl Default for PrefixBudgets {
     fn default() -> Self {
-        // ~120 MB total at f64 size: comfortably holds a reduced-scale
+        // ~136 MB total at f64 size: comfortably holds a reduced-scale
         // product sweep while bounding a long-running server. The CT and
         // amplified buffers run at the proxy rate (8× oversampled), so they
-        // get the larger shares.
+        // get the larger shares; an encoded record is M/N_Φ of its sampling.
         Self {
             ct: 4 << 20,
             analog: 4 << 20,
             reference: 1 << 20,
             sampled: 2 << 20,
+            encoded: 2 << 20,
             acquired: 4 << 20,
         }
     }
 }
 
-/// The Level-3 prefix store: five bounded, content-addressed artifact
+/// The Level-3 prefix store: six bounded, content-addressed artifact
 /// classes (see the module docs), each a single-flight [`Store`]. Cheap to
 /// share: clone an `Arc<PrefixStore>` into every [`crate::sweep::Sweep`]
 /// (or attach it to a bare [`crate::simulate::Simulator`]) that should
@@ -275,6 +356,7 @@ pub struct PrefixStore {
     pub(crate) analog: Store<PrefixKey, Vec<f64>>,
     pub(crate) reference: Store<PrefixKey, Vec<f64>>,
     pub(crate) sampled: Store<PrefixKey, Vec<f64>>,
+    pub(crate) encoded: Store<PrefixKey, Vec<f64>>,
     pub(crate) acquired: Store<PrefixKey, AcquiredPrefix>,
 }
 
@@ -301,6 +383,7 @@ impl PrefixStore {
             analog: Store::bounded("memo.analog", b.analog, Vec::len),
             reference: Store::bounded("memo.reference", b.reference, Vec::len),
             sampled: Store::bounded("memo.sampled", b.sampled, Vec::len),
+            encoded: Store::bounded("memo.encoded", b.encoded, Vec::len),
             acquired: Store::bounded("memo.acquired", b.acquired, acquired_samples),
         }
     }
@@ -313,6 +396,7 @@ impl PrefixStore {
             analog: self.analog.stats(),
             reference: self.reference.stats(),
             sampled: self.sampled.stats(),
+            encoded: self.encoded.stats(),
             acquired: self.acquired.stats(),
         }
     }
@@ -323,6 +407,7 @@ impl PrefixStore {
         self.analog.reset_stats();
         self.reference.reset_stats();
         self.sampled.reset_stats();
+        self.encoded.reset_stats();
         self.acquired.reset_stats();
     }
 }
@@ -338,6 +423,8 @@ pub struct PrefixStats {
     pub reference: StoreStats,
     /// Clean-clock CS samplings.
     pub sampled: StoreStats,
+    /// Charge-sharing encoder outputs.
+    pub encoded: StoreStats,
     /// Acquired front-end outputs (elements count input-referred samples).
     pub acquired: StoreStats,
 }
@@ -350,6 +437,7 @@ impl PrefixStats {
             + self.analog.hits
             + self.reference.hits
             + self.sampled.hits
+            + self.encoded.hits
             + self.acquired.hits
     }
 
@@ -360,6 +448,7 @@ impl PrefixStats {
             + self.analog.misses
             + self.reference.misses
             + self.sampled.misses
+            + self.encoded.misses
             + self.acquired.misses
     }
 
@@ -370,6 +459,7 @@ impl PrefixStats {
             + self.analog.evictions
             + self.reference.evictions
             + self.sampled.evictions
+            + self.encoded.evictions
             + self.acquired.evictions
     }
 }
@@ -545,6 +635,119 @@ mod tests {
         assert_ne!(sampled_key(a, 537.6, 4301), sampled_key(a, 537.6, 4300));
     }
 
+    fn encoded_params() -> EncodedParams {
+        EncodedParams {
+            sampled: sampled_key(analog_key(&params()), 537.6, 4300),
+            m: 75,
+            n_phi: 384,
+            s: 2,
+            phi_seed: 0x5EB1,
+            c_sample_f: 0.1e-12,
+            c_hold_f: 0.5e-12,
+            sample_period_s: 1.0 / 537.6,
+            imperfections: EncoderImperfections::realistic(),
+            cap_density_f_per_um2: 2e-15,
+            c_pk_frac_um2: 1e-4,
+            i_leak_a: 1e-15,
+            v_ref: 1.0,
+            encoder_seed: 0xE7C0,
+            leakage: None,
+        }
+    }
+
+    #[test]
+    fn every_encoder_input_separates_encoded_keys() {
+        let base = encoded_params();
+        let k = encoded_key(&base);
+        assert_eq!(k, encoded_key(&encoded_params()), "keys are deterministic");
+        let imp = base.imperfections;
+        let variants = [
+            EncodedParams {
+                sampled: sampled_key(analog_key(&params()), 537.6, 4301),
+                ..base
+            },
+            EncodedParams { m: 192, ..base },
+            EncodedParams { n_phi: 256, ..base },
+            EncodedParams { s: 3, ..base },
+            EncodedParams {
+                phi_seed: 0x5EB2,
+                ..base
+            },
+            EncodedParams {
+                c_sample_f: 0.2e-12,
+                ..base
+            },
+            EncodedParams {
+                c_hold_f: 1e-12,
+                ..base
+            },
+            EncodedParams {
+                sample_period_s: 1.0 / 268.8,
+                ..base
+            },
+            EncodedParams {
+                imperfections: EncoderImperfections {
+                    mismatch: false,
+                    ..imp
+                },
+                ..base
+            },
+            EncodedParams {
+                imperfections: EncoderImperfections {
+                    ktc_noise: false,
+                    ..imp
+                },
+                ..base
+            },
+            EncodedParams {
+                imperfections: EncoderImperfections {
+                    leakage: false,
+                    ..imp
+                },
+                ..base
+            },
+            EncodedParams {
+                cap_density_f_per_um2: 1e-15,
+                ..base
+            },
+            EncodedParams {
+                c_pk_frac_um2: 2e-4,
+                ..base
+            },
+            EncodedParams {
+                i_leak_a: 2e-15,
+                ..base
+            },
+            EncodedParams { v_ref: 0.9, ..base },
+            EncodedParams {
+                encoder_seed: 0xE7C1,
+                ..base
+            },
+            EncodedParams {
+                leakage: Some(CapLeakageFault {
+                    leak_multiplier: 100.0,
+                }),
+                ..base
+            },
+        ];
+        let mut seen = vec![k];
+        for v in &variants {
+            let kv = encoded_key(v);
+            assert!(!seen.contains(&kv), "axis collided: {v:?}");
+            seen.push(kv);
+        }
+        // The leakage multiplier itself is an axis, not just its presence.
+        assert_ne!(
+            encoded_key(&variants[16]),
+            encoded_key(&EncodedParams {
+                leakage: Some(CapLeakageFault {
+                    leak_multiplier: 10.0,
+                }),
+                ..base
+            })
+        );
+    }
+
     #[test]
     fn acquired_key_separates_config_plan_record_and_seed() {
         let k = acquired_key("cfg-a", "clean", 1, 173.61, 5);
@@ -570,6 +773,7 @@ mod tests {
             analog: elements,
             reference: elements,
             sampled: elements,
+            encoded: elements,
             acquired: elements,
         }
     }

@@ -522,10 +522,17 @@ fn progress_heartbeat(
         }
         if prefix_attached {
             let sum = |field: &str| {
-                ["ct", "analog", "reference", "sampled", "acquired"]
-                    .iter()
-                    .map(|class| obs.counter(&format!("memo.{class}.{field}")).get())
-                    .fold(0u64, u64::saturating_add)
+                [
+                    "ct",
+                    "analog",
+                    "reference",
+                    "sampled",
+                    "encoded",
+                    "acquired",
+                ]
+                .iter()
+                .map(|class| obs.counter(&format!("memo.{class}.{field}")).get())
+                .fold(0u64, u64::saturating_add)
             };
             ev = ev
                 .field("l3_hits", efficsense_obs::FieldValue::U64(sum("hit")))

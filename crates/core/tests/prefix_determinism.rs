@@ -149,6 +149,47 @@ fn sweep_is_bit_identical_store_on_vs_off_across_thread_counts() {
 }
 
 #[test]
+fn fault_product_cells_are_bit_identical_store_on_vs_off() {
+    // The benchmark's four cells: ADC stuck bit and hold-cap leakage at
+    // severity 0 and 1, run in order through one shared store over a space
+    // with two resolutions.
+    let space = DesignSpace {
+        n_bits: vec![6, 8],
+        ..tiny_space()
+    };
+    let dataset = tiny_dataset();
+    let sweep = |plan: &FaultPlan, store: Option<Arc<PrefixStore>>| {
+        let mut sweep = Sweep::new(SweepConfig {
+            metric: Metric::Snr,
+            threads: 2,
+            detector_seed: 0,
+            fault_plan: Some(plan.clone()),
+            ..Default::default()
+        });
+        if let Some(store) = store {
+            sweep = sweep.with_prefix_store(store);
+        }
+        sweep.run(&space, &dataset)
+    };
+    let store = Arc::new(PrefixStore::new());
+    for kind in [FaultKind::AdcStuckBit, FaultKind::CapLeakage] {
+        for severity in [0.0, 1.0] {
+            let plan = FaultPlan::single(kind, severity, 0xFA_017);
+            let before = store.stats();
+            let on = sweep(&plan, Some(Arc::clone(&store)));
+            assert_eq!(sweep(&plan, None), on, "store changed {kind}@{severity}");
+            let after = store.stats();
+            if kind == FaultKind::AdcStuckBit && severity > 0.0 {
+                assert!(
+                    after.encoded.hits > before.encoded.hits,
+                    "an ADC fault must reuse the clean encoder outputs: {after:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn capped_store_churns_and_stays_bit_identical() {
     // A budget far below one record's artifacts: every class evicts
     // constantly, and the results must not move.
@@ -157,6 +198,7 @@ fn capped_store_churns_and_stays_bit_identical() {
         analog: 256,
         reference: 256,
         sampled: 256,
+        encoded: 256,
         acquired: 256,
     }));
     let reference = sweep_with(2, None, None);

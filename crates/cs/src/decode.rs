@@ -37,8 +37,6 @@ pub struct OmpScratch {
     support: Vec<usize>,
     /// Coefficients on the support (selection order).
     x: Vec<f64>,
-    /// `b` gathered on the support (selection order).
-    bs: Vec<f64>,
     /// Gram cross terms `G[S, j]` for the atom being appended.
     cross: Vec<f64>,
     /// Growing Cholesky factor of `G_S + ridge·I`.
@@ -56,7 +54,6 @@ impl OmpScratch {
             in_support: Vec::new(),
             support: Vec::new(),
             x: Vec::new(),
-            bs: Vec::new(),
             cross: Vec::new(),
             chol: GrowingCholesky::new(1, 0.0),
         }
@@ -70,7 +67,6 @@ impl OmpScratch {
         self.in_support.resize(n, false);
         self.support.clear();
         self.x.clear();
-        self.bs.clear();
         self.cross.clear();
         if self.chol.capacity() < k_max {
             self.chol = GrowingCholesky::new(k_max.max(1), ridge);
@@ -208,8 +204,12 @@ fn omp_fast_core(
         }
         ws.support.push(j_star);
         ws.in_support[j_star] = true;
-        ws.bs.push(ws.b[j_star]);
-        ws.chol.solve_into(&ws.bs, &mut ws.x);
+        ws.chol.solve_appended(ws.b[j_star], &mut ws.x);
+        // The residual only decides whether to stop; on the last permitted
+        // iteration the loop stops either way.
+        if ws.support.len() == k_max {
+            break;
+        }
         // Explicit residual r = y − A_S·x_S, accumulated atom-by-atom over
         // contiguous rows of `Aᵀ`. Recomputing from `y` (rather than
         // maintaining ‖r‖² algebraically) avoids the catastrophic

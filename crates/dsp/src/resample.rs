@@ -24,6 +24,15 @@ pub fn sample_at(x: &[f64], fs_in: f64, t: f64) -> f64 {
     x[i] * (1.0 - frac) + x[i + 1] * frac
 }
 
+/// Length of [`resample_linear`]'s output for an `n`-sample record: the
+/// record's time span at `fs_out`, rounded to the nearest sample. Lets a
+/// caller size (or key) a resampled buffer without building it.
+#[must_use]
+pub fn resampled_len(n: usize, fs_in: f64, fs_out: f64) -> usize {
+    let duration = n as f64 / fs_in;
+    (duration * fs_out).round() as usize
+}
+
 /// Linear-interpolation resampling from `fs_in` to `fs_out`, covering the
 /// same time span as the input record.
 ///
@@ -33,9 +42,7 @@ pub fn sample_at(x: &[f64], fs_in: f64, t: f64) -> f64 {
 pub fn resample_linear(x: &[f64], fs_in: f64, fs_out: f64) -> Vec<f64> {
     assert!(!x.is_empty(), "cannot resample an empty signal");
     assert!(fs_in > 0.0 && fs_out > 0.0, "sample rates must be positive");
-    let duration = x.len() as f64 / fs_in;
-    let n_out = (duration * fs_out).round() as usize;
-    (0..n_out)
+    (0..resampled_len(x.len(), fs_in, fs_out))
         .map(|i| sample_at(x, fs_in, i as f64 / fs_out))
         .collect()
 }
